@@ -6,7 +6,7 @@
 
 #include "graph/GraphExec.h"
 
-#include "ocl/FaultInject.h"
+#include "support/FaultInject.h"
 
 #include <algorithm>
 #include <atomic>
@@ -54,6 +54,8 @@ public:
       : VG(VG), Opts(Opts), Engine(Engine) {}
 
   Expected<GraphRunResult> run() {
+    if (Opts.NativeBackend && (Opts.CheckRaces || Opts.CheckMemory))
+      Engine.note(ctx(""), native::SimulatorOnlyChecksNote);
     Limits = ocl::ExecLimits::withEnvDefaults(Opts.Limits);
     HasStepBudget = Limits.MaxSteps != 0;
     StepsLeft.store(Limits.MaxSteps, std::memory_order_relaxed);
@@ -317,7 +319,7 @@ private:
     auto PoolIt = Pool.find(Key);
     if (Opts.ReuseBuffers && PoolIt != Pool.end() &&
         !PoolIt->second.empty()) {
-      if (ocl::fault::shouldFail(ocl::fault::Site::GraphBufferReuse)) {
+      if (fault::shouldFail(fault::Site::GraphBufferReuse)) {
         Eng.error(DiagCode::GraphFaultInjected, ctx(""),
                   "injected fault: graph buffer reuse while recycling an "
                   "allocation for '" +
@@ -509,7 +511,7 @@ private:
                        " exhausted before " + SP.Path);
       return false;
     }
-    if (ocl::fault::shouldFail(ocl::fault::Site::GraphStageDispatch)) {
+    if (fault::shouldFail(fault::Site::GraphStageDispatch)) {
       NR.Eng.error(DiagCode::GraphFaultInjected, ctx(SP.Path),
                    "injected fault: graph stage dispatch");
       return false;

@@ -8,8 +8,8 @@
 
 #include "arith/Eval.h"
 #include "native/NativePrinter.h"
-#include "ocl/FaultInject.h"
-#include "support/FileLock.h"
+#include "support/ContentStore.h"
+#include "support/FaultInject.h"
 #include "support/Retry.h"
 
 #include <atomic>
@@ -22,12 +22,12 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 
 #include <dlfcn.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "ocl/ThreadPool.h"
@@ -46,9 +46,11 @@ namespace {
 /// arithmetic at the C++ level too (the generated code already wraps
 /// through uint64 helpers); -ffp-contract=off keeps every double
 /// operation a distinct IEEE rounding step so results are bit-identical
-/// to the interpreter's; -ffast-math is deliberately absent.
-const char *const kBaseFlags =
-    "-std=c++17 -O2 -fPIC -shared -fwrapv -ffp-contract=off";
+/// to the interpreter's; -ffast-math is deliberately absent. Both modes
+/// build with -Werror=narrowing: GCC only warns about a narrowing braced
+/// initializer, which is ill-formed C++ that other compilers reject.
+const char *const kBaseFlags = "-std=c++17 -O2 -fPIC -shared -fwrapv "
+                               "-ffp-contract=off -Werror=narrowing";
 
 /// Fast-mode flags: the printer already emitted natively-typed scalars
 /// and `#pragma omp simd` loops, so the build is allowed to contract
@@ -57,32 +59,23 @@ const char *const kBaseFlags =
 /// -ffast-math remains absent — NaN/Inf propagation is part of the
 /// documented fast-mode contract (docs/NATIVE_BACKEND.md).
 const char *const kFastFlags =
-    "-std=c++17 -O3 -march=native -fPIC -shared -fwrapv";
+    "-std=c++17 -O3 -march=native -fPIC -shared -fwrapv -Werror=narrowing";
 
 const char *flagsFor(NativeMode Mode) {
   return Mode == NativeMode::Fast ? kFastFlags : kBaseFlags;
+}
+
+/// The shared-object store's directory: $LIFT_NATIVE_CACHE_DIR, read
+/// afresh on every launch, or ".lift-native".
+std::string cacheDirectory() {
+  const char *Env = std::getenv("LIFT_NATIVE_CACHE_DIR");
+  return Env && *Env ? Env : ".lift-native";
 }
 
 bool commandExists(const std::string &Name) {
   std::string Cmd = "command -v " + Name + " >/dev/null 2>&1";
   int RC = std::system(Cmd.c_str());
   return RC == 0;
-}
-
-uint64_t fnv1a64(const std::string &S) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-std::string hex16(uint64_t V) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
 }
 
 /// Last \p Max characters of a file (compiler stderr for E0604 notes).
@@ -100,8 +93,8 @@ std::string fileTail(const std::string &Path, size_t Max = 2000) {
   return S;
 }
 
-/// Files removed at scope exit unless released — failure paths leak no
-/// temporaries into the cache directory.
+/// Files removed at scope exit — failure paths leak no temporaries into
+/// the cache directory.
 class TempFiles {
 public:
   ~TempFiles() {
@@ -109,7 +102,6 @@ public:
       ::remove(P.c_str());
   }
   void add(std::string P) { Paths.push_back(std::move(P)); }
-  void release() { Paths.clear(); }
 
 private:
   std::vector<std::string> Paths;
@@ -121,49 +113,6 @@ struct LoadedEntry {
   double CompileMs = 0;
   bool CacheHit = false;
 };
-
-bool fileExists(const std::string &P) {
-  struct stat St;
-  return ::stat(P.c_str(), &St) == 0;
-}
-
-bool readFileAll(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
-}
-
-/// FNV-1a of a file's bytes; false when the file cannot be read.
-bool hashFileContents(const std::string &Path, uint64_t &H) {
-  std::string Bytes;
-  if (!readFileAll(Path, Bytes))
-    return false;
-  H = fnv1a64(Bytes);
-  return true;
-}
-
-/// Writes \p Data to \p Path via a per-pid temporary and an atomic
-/// rename, so a crashed or concurrent writer never leaves a torn file.
-bool writeFileAtomic(const std::string &Path, const std::string &Data) {
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    Out << Data;
-    if (!Out) {
-      ::remove(Tmp.c_str());
-      return false;
-    }
-  }
-  if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    ::remove(Tmp.c_str());
-    return false;
-  }
-  return true;
-}
 
 [[noreturn]] void nativeFail(DiagCode Code, const std::string &Kernel,
                              const std::string &Msg,
@@ -208,11 +157,11 @@ void invalidateHandle(const std::string &SoPath) {
 /// Compiles (or reuses) the shared object for \p Source and resolves the
 /// kernel entry point. Throws DiagnosticError on every failure; the
 /// injected-fault sites fire before the operation they model so a faulted
-/// run performs no partial work. Transient steps (compile, dlopen, dlsym,
-/// sidecar write) run under the deterministic retry policy. A cached .so
-/// is reused only when its bytes match the content hash recorded in the
-/// <Key>.hash sidecar; a mismatched, truncated or unreadable artifact is
-/// evicted and recompiled with an E0611 warning into \p Engine.
+/// run performs no partial work. Transient steps (compile, dlopen, dlsym)
+/// run under the deterministic retry policy. Artifacts live in the native
+/// content store as <Key>.so: a cached .so is reused only when it passes
+/// the store's integrity check; a corrupt one is quarantined and
+/// recompiled with an E0611 warning into \p Engine.
 LoadedEntry loadEntry(const std::string &Source, const std::string &Flags,
                       const std::string &Key, const std::string &Kernel,
                       DiagnosticEngine *Engine) {
@@ -226,149 +175,111 @@ LoadedEntry loadEntry(const std::string &Source, const std::string &Flags,
                 "simulator backend needs no toolchain"});
 
   const std::string Dir = cacheDirectory();
-  const std::string SoPath = Dir + "/" + Key + ".so";
-  const std::string HashPath = Dir + "/" + Key + ".hash";
-
+  const support::ContentStore Store(Dir);
+  const std::string Name = Key + ".so";
+  const std::string SoPath = Store.path(Name);
   const retry::Policy Pol = retry::Policy::fromEnv();
 
-  bool NeedCompile = true;
-  if (fileExists(SoPath)) {
-    // Integrity gate on reuse: the filename key only proves what source
-    // the artifact was compiled *for*, not that its bytes are intact. A
-    // truncated or swapped .so must recompile, never reach dlopen.
-    std::string Why;
-    if (fault::shouldFail(fault::Site::CacheRead)) {
-      Why = "injected fault: reading the native artifact cache failed";
-    } else {
-      std::string Stored;
-      uint64_t Actual = 0;
-      if (!readFileAll(HashPath, Stored))
-        Why = "no content hash recorded for '" + SoPath + "'";
-      else if (!hashFileContents(SoPath, Actual))
-        Why = "could not read '" + SoPath + "' back";
-      else {
-        while (!Stored.empty() &&
-               (Stored.back() == '\n' || Stored.back() == '\r'))
-          Stored.pop_back();
-        if (Stored != hex16(Actual))
-          Why = "content hash mismatch for '" + SoPath +
-                "' (truncated or swapped artifact)";
-      }
-    }
-    if (Why.empty()) {
-      NeedCompile = false;
-      R.CacheHit = true;
-    } else {
+  // The key only proves what source an artifact was compiled for, not
+  // that its bytes are intact: a corrupt .so must recompile, never reach
+  // dlopen, and its stale handle must go (see invalidateHandle).
+  auto Cached = [&] {
+    support::ContentStore::Entry E = Store.get(Name);
+    if (E.K == support::ContentStore::Entry::Corrupt) {
       nativeWarn(Engine, DiagCode::NativeArtifactCorrupt, Kernel,
                  "cached shared object failed its integrity check; "
-                 "recompiling (" + Why + ")");
+                 "quarantined and recompiling (" + E.Why + ")");
       invalidateHandle(SoPath);
-      ::remove(SoPath.c_str());
-      ::remove(HashPath.c_str());
     }
-  }
+    return E.K == support::ContentStore::Entry::Hit;
+  };
 
-  if (NeedCompile) {
+  // The build's temporaries outlive the dlopen below: an object the store
+  // could not publish is loaded from its build path instead.
+  TempFiles Tmp;
+  std::string LoadPath = SoPath;
+  R.CacheHit = Cached();
+  if (!R.CacheHit) {
     // Cross-process single-flight: two processes cold-starting on the
     // same key serialize here, and the loser reuses the winner's
-    // artifact instead of compiling it again. Best-effort — an unlocked
-    // fall-through is still safe (atomic rename, last writer wins).
-    support::FileLock Lock = support::FileLock::acquire(SoPath + ".lock");
-    if (Lock.locked() && fileExists(SoPath)) {
-      std::string Stored;
-      uint64_t Actual = 0;
-      if (readFileAll(HashPath, Stored) && hashFileContents(SoPath, Actual)) {
-        while (!Stored.empty() &&
-               (Stored.back() == '\n' || Stored.back() == '\r'))
-          Stored.pop_back();
-        if (Stored == hex16(Actual)) {
-          NeedCompile = false;
-          R.CacheHit = true;
-        }
-      }
-    }
-  }
-
-  if (NeedCompile) {
-    support::FileLock Lock = support::FileLock::acquire(SoPath + ".lock");
-    retry::runWithRetry(Pol, "native compile", [&] {
-      if (fault::shouldFail(fault::Site::NativeCompile))
-        nativeFail(DiagCode::RuntimeFaultInjected, Kernel,
-                   "injected fault: compiling the native kernel failed");
-
+    // artifact instead of compiling it again.
+    support::FileLock Lock = Store.lock(Name);
+    R.CacheHit = Cached();
+    if (!R.CacheHit) {
       const std::string Tag = Key + "." + std::to_string(::getpid());
       const std::string CppTmp = Dir + "/" + Tag + ".tmp.cpp";
       const std::string SoTmp = Dir + "/" + Tag + ".tmp.so";
       const std::string ErrTmp = Dir + "/" + Tag + ".tmp.err";
-      TempFiles Tmp;
       Tmp.add(CppTmp);
       Tmp.add(SoTmp);
       Tmp.add(ErrTmp);
+      std::optional<std::string> OpenMPFailure;
+      retry::runWithRetry(Pol, "native compile", [&] {
+        if (fault::shouldFail(fault::Site::NativeCompile))
+          nativeFail(DiagCode::RuntimeFaultInjected, Kernel,
+                     "injected fault: compiling the native kernel failed");
+        {
+          std::ofstream Out(CppTmp);
+          Out << Source;
+          if (!Out)
+            nativeFail(DiagCode::NativeCompileFailed, Kernel,
+                       "could not write the generated source to '" + CppTmp +
+                           "'");
+        }
 
-      {
-        std::ofstream Out(CppTmp);
-        Out << Source;
-        if (!Out)
+        auto Start = std::chrono::steady_clock::now();
+        auto Run = [&](bool OpenMP) {
+          std::string Cmd = Compiler + " " + Flags +
+                            (OpenMP ? " -fopenmp" : "") + " -o " + SoTmp +
+                            " " + CppTmp + " 2> " + ErrTmp;
+          return std::system(Cmd.c_str());
+        };
+        // Prefer OpenMP; fall back to a serial build when the toolchain
+        // has no OpenMP runtime (the generated pragma is _OPENMP-guarded).
+        int RC = Run(/*OpenMP=*/true);
+        if (RC != 0) {
+          OpenMPFailure = fileTail(ErrTmp);
+          RC = Run(/*OpenMP=*/false);
+        }
+        R.CompileMs = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - Start)
+                          .count();
+        if (RC != 0) {
+          std::string Tail = fileTail(ErrTmp);
+          std::vector<std::string> Notes;
+          if (!Tail.empty())
+            Notes.push_back("compiler output: " + Tail);
+          Notes.push_back("command: " + Compiler + " " + Flags);
           nativeFail(DiagCode::NativeCompileFailed, Kernel,
-                     "could not write the generated source to '" + CppTmp +
-                         "'");
-      }
-
-      auto Start = std::chrono::steady_clock::now();
-      auto Run = [&](bool OpenMP) {
-        std::string Cmd = Compiler + " " + Flags +
-                          (OpenMP ? " -fopenmp" : "") + " -o " + SoTmp + " " +
-                          CppTmp + " 2> " + ErrTmp;
-        return std::system(Cmd.c_str());
-      };
-      // Prefer OpenMP; fall back to a serial build when the toolchain has
-      // no OpenMP runtime (the generated pragma is _OPENMP-guarded).
-      int RC = Run(/*OpenMP=*/true);
-      if (RC != 0)
-        RC = Run(/*OpenMP=*/false);
-      R.CompileMs = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count();
-      if (RC != 0) {
-        std::string Tail = fileTail(ErrTmp);
-        std::vector<std::string> Notes;
-        if (!Tail.empty())
-          Notes.push_back("compiler output: " + Tail);
-        Notes.push_back("command: " + Compiler + " " + Flags);
-        nativeFail(DiagCode::NativeCompileFailed, Kernel,
-                   "the system compiler rejected the generated source",
-                   std::move(Notes));
-      }
-      if (::rename(SoTmp.c_str(), SoPath.c_str()) != 0)
-        nativeFail(DiagCode::NativeCompileFailed, Kernel,
-                   "could not move the compiled object into the cache at '" +
-                       SoPath + "'");
-      // The .so is in place; the source and stderr temporaries are
-      // removed by TempFiles (SoTmp no longer exists, remove is a no-op).
-    });
-
-    // Record the content hash the integrity gate checks on reuse. Failure
-    // is a degradation, not an error: this process dlopens the artifact
-    // it just built, the next one recompiles.
-    try {
-      retry::runWithRetry(Pol, "native cache write", [&] {
-        if (fault::shouldFail(fault::Site::CacheWrite))
-          throwDiag(DiagCode::CacheWriteFailed,
-                    DiagLocation::inContext(Kernel),
-                    "native: injected fault: persisting the artifact "
-                    "content hash failed");
-        uint64_t H = 0;
-        if (!hashFileContents(SoPath, H) ||
-            !writeFileAtomic(HashPath, hex16(H) + "\n"))
-          throwDiag(DiagCode::CacheWriteFailed,
-                    DiagLocation::inContext(Kernel),
-                    "native: could not persist the artifact content hash "
-                    "to '" + HashPath + "'");
+                     "the system compiler rejected the generated source",
+                     std::move(Notes));
+        }
       });
-    } catch (const DiagnosticError &E) {
-      nativeWarn(Engine, DiagCode::CacheWriteFailed, Kernel,
-                 "artifact content hash not persisted; the next process "
-                 "will recompile (" + E.Diag.Message + ")");
+      if (OpenMPFailure) {
+        const std::string Msg =
+            "native: the -fopenmp build failed, so the kernel was built "
+            "without OpenMP and runs on one thread (compiler output: " +
+            (OpenMPFailure->empty() ? "none" : *OpenMPFailure) + ")";
+        if (Engine)
+          Engine->note(DiagLocation::inContext(Kernel), Msg);
+        else
+          std::fprintf(stderr, "lift: note: %s\n", Msg.c_str());
+      }
+
+      // Not caching the object is a degradation, not an error: this
+      // process loads it from the build, the next one recompiles.
+      std::ifstream In(SoTmp, std::ios::binary);
+      if (!In)
+        nativeFail(DiagCode::NativeCompileFailed, Kernel,
+                   "could not read the compiled object '" + SoTmp + "'");
+      std::string Object{std::istreambuf_iterator<char>(In), {}};
+      std::string Err;
+      if (!Store.put(Name, Object, Err)) {
+        nativeWarn(Engine, DiagCode::CacheWriteFailed, Kernel,
+                   "compiled object not cached; the next process will "
+                   "recompile (" + Err + ")");
+        LoadPath = SoTmp;
+      }
     }
   }
 
@@ -383,20 +294,20 @@ LoadedEntry loadEntry(const std::string &Source, const std::string &Flags,
     void *Handle = nullptr;
     {
       std::lock_guard<std::mutex> L(HandlesM);
-      auto It = Handles.find(SoPath);
+      auto It = Handles.find(LoadPath);
       if (It != Handles.end())
         Handle = It->second;
     }
     if (!Handle) {
-      Handle = ::dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
+      Handle = ::dlopen(LoadPath.c_str(), RTLD_NOW | RTLD_LOCAL);
       if (!Handle) {
         const char *Err = ::dlerror();
         nativeFail(DiagCode::NativeLoadFailed, Kernel,
-                   "dlopen failed for '" + SoPath + "'",
+                   "dlopen failed for '" + LoadPath + "'",
                    {Err ? Err : "no dlerror detail"});
       }
       std::lock_guard<std::mutex> L(HandlesM);
-      Handles.emplace(SoPath, Handle);
+      Handles.emplace(LoadPath, Handle);
     }
 
     if (fault::shouldFail(fault::Site::NativeSym))
@@ -407,7 +318,7 @@ LoadedEntry loadEntry(const std::string &Source, const std::string &Flags,
     if (!Sym)
       nativeFail(DiagCode::NativeSymbolMissing, Kernel,
                  std::string("entry symbol '") + kEntryName +
-                     "' not found in '" + SoPath + "'");
+                     "' not found in '" + LoadPath + "'");
     R.Fn = reinterpret_cast<LoadedEntry::EntryFn>(Sym);
   });
   return R;
@@ -693,8 +604,8 @@ NativeLaunchResult launchNativeImpl(const codegen::CompiledKernel &K,
   NativeLaunchResult Result;
   Result.Source = printNativeModule(K, Cfg.Global, Cfg.Local, Mode);
   const std::string Flags = flagsFor(Mode);
-  const std::string Key =
-      hex16(fnv1a64(Result.Source + "|" + Flags + "|" + toolchainCompiler()));
+  const std::string Key = support::contentHash(Result.Source + "|" + Flags +
+                                               "|" + toolchainCompiler());
   LoadedEntry Entry = loadEntry(Result.Source, Flags, Key, Kernel, Engine);
   Result.CompileMs = Entry.CompileMs;
   Result.CacheHit = Entry.CacheHit;
@@ -1037,16 +948,6 @@ std::string native::toolchainCompiler() {
     return std::string();
   }();
   return Cached;
-}
-
-std::string native::cacheDirectory() {
-  std::string Dir = ".lift-native";
-  if (const char *Env = std::getenv("LIFT_NATIVE_CACHE_DIR")) {
-    if (*Env)
-      Dir = Env;
-  }
-  ::mkdir(Dir.c_str(), 0755); // EEXIST is fine; compile reports failures
-  return Dir;
 }
 
 Expected<NativeLaunchResult>

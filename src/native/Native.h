@@ -9,8 +9,9 @@
 /// C++/OpenMP (NativePrinter.h), built into a shared object by the system
 /// compiler, loaded with dlopen and invoked through a fixed `extern "C"`
 /// entry point. Shared objects are cached under $LIFT_NATIVE_CACHE_DIR
-/// (default `.lift-native/`) keyed by a 64-bit FNV-1a hash of the source,
-/// flags and compiler, so repeat launches skip the compile entirely.
+/// (default `.lift-native/`), a content store (support/ContentStore.h)
+/// keyed by a 64-bit FNV-1a hash of the source, flags and compiler, so
+/// repeat launches skip the compile entirely.
 ///
 /// The launch boundary mirrors the simulator's launchChecked: the same
 /// argument-binding order and the same E05xx diagnostics for launch
@@ -20,7 +21,7 @@
 /// int32/float leaves in fast mode), executed against, and read back;
 /// on a cancelled or failed execution the caller's buffers are poisoned
 /// exactly like a cancelled simulator launch. Deterministic fault
-/// injection (ocl/FaultInject.h) covers the compile/dlopen/dlsym steps.
+/// injection (support/FaultInject.h) covers the compile/dlopen/dlsym steps.
 ///
 /// The simulator remains the verification backend: native runs enforce
 /// the wall-clock deadline and the memory cap, but not MaxSteps, race
@@ -62,14 +63,16 @@ struct NativeLaunchResult {
   std::string Source;
 };
 
+/// The note a native run records when it was asked for simulator-only
+/// checks (single kernels and graphs alike).
+inline constexpr const char *SimulatorOnlyChecksNote =
+    "race/memory checking and schedule perturbation are simulator-only; "
+    "the native backend ignores them";
+
 /// The compiler the native backend would invoke: $LIFT_NATIVE_CXX if set,
 /// otherwise the first of c++/g++/clang++ on PATH. Empty when none is
 /// usable — callers should skip native execution (E0603 at launch).
 std::string toolchainCompiler();
-
-/// The shared-object cache directory ($LIFT_NATIVE_CACHE_DIR, default
-/// ".lift-native"). Created on first use.
-std::string cacheDirectory();
 
 /// Executes \p K natively. Mirrors ocl::launchChecked's contract: buffers
 /// bind to the program's pointer parameters in declaration order, Sizes

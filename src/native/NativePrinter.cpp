@@ -1743,9 +1743,15 @@ private:
     case CExprKind::ConstructStruct: {
       const auto &CS = static_cast<const ConstructStruct &>(*E);
       typeOf(E); // validates field classes
+      const auto &Fields =
+          static_cast<const StructCType &>(*CS.getType()).getFields();
+      // Each initializer is cast to its field type: fast-mode int
+      // arithmetic may widen to i64, and a braced initializer must not
+      // narrow implicitly.
       std::string R = typeName(CS.getType()) + "{";
       for (size_t I = 0; I != CS.getArgs().size(); ++I)
-        R += (I ? ", " : "") + emitExpr(CS.getArgs()[I]);
+        R += (I ? ", (" : "(") + typeName(Fields[I].second) + ")(" +
+             emitExpr(CS.getArgs()[I]) + ")";
       return R + "}";
     }
     case CExprKind::VectorLoad: {

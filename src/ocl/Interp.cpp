@@ -26,13 +26,13 @@
 
 #include "arith/Eval.h"
 #include "cast/CPrinter.h"
-#include "ocl/FaultInject.h"
 #include "ocl/MemGuard.h"
 #include "ocl/RaceDetector.h"
 #include "ocl/ThreadPool.h"
 #include "support/Casting.h"
 #include "support/Diagnostics.h"
 #include "support/Error.h"
+#include "support/FaultInject.h"
 
 #include <algorithm>
 #include <atomic>

@@ -6,7 +6,7 @@
 
 #include "ocl/ThreadPool.h"
 
-#include "ocl/FaultInject.h"
+#include "support/FaultInject.h"
 #include "support/Retry.h"
 
 #include <condition_variable>

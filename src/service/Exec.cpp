@@ -18,9 +18,9 @@
 #include "ir/Printer.h"
 #include "lift/Lift.h"
 #include "native/NativePrinter.h"
-#include "ocl/FaultInject.h"
 #include "passes/Verify.h"
-#include "support/Hash.h"
+#include "support/ContentStore.h"
+#include "support/FaultInject.h"
 
 #include <algorithm>
 #include <cstdarg>
@@ -61,11 +61,11 @@ void appendf(std::string &Out, const char *Fmt, ...) {
 
 /// The "// fault-count" block a --count-faults run appends to stdout.
 void appendFaultCounts(std::string &Out) {
-  for (unsigned S = 0; S != ocl::fault::NumSites; ++S) {
-    auto Id = static_cast<ocl::fault::Site>(S);
+  for (unsigned S = 0; S != fault::NumSites; ++S) {
+    auto Id = static_cast<fault::Site>(S);
     appendf(Out, "// fault-count %u %llu %s\n", S,
-            static_cast<unsigned long long>(ocl::fault::occurrences(Id)),
-            ocl::fault::siteName(Id));
+            static_cast<unsigned long long>(fault::occurrences(Id)),
+            fault::siteName(Id));
   }
 }
 
@@ -121,7 +121,7 @@ std::string service::compileKey(const ExecRequest &R) {
   K += R.Opts.VerifyEach ? "v1" : "v0";
   K += "|u";
   K += std::to_string(R.Opts.UnrollLimit);
-  return support::hex16(support::fnv1a64(K));
+  return support::contentHash(K);
 }
 
 std::shared_ptr<CompileProduct> service::compileRequest(const ExecRequest &R) {
@@ -266,9 +266,8 @@ int runStages(const ExecRequest &R, const ExecContext &Ctx,
 
   if (R.NativeBackend) {
     if (Opts.CheckRaces || Opts.CheckMemory || Opts.PerturbSchedule)
-      O.Diags.push_back("note: race/memory checking and schedule "
-                        "perturbation are simulator-only; the native "
-                        "backend ignores them");
+      O.Diags.push_back(std::string("note: ") +
+                        native::SimulatorOnlyChecksNote);
     // The native attempt records into its own engine: on failure it is
     // demoted to an E0610 warning and the run degrades to the simulator
     // below instead of failing.

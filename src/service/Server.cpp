@@ -15,9 +15,8 @@
 
 #include "service/Server.h"
 
-#include "ocl/FaultInject.h"
-#include "support/FileLock.h"
-#include "support/Hash.h"
+#include "support/ContentStore.h"
+#include "support/FaultInject.h"
 #include "support/Json.h"
 
 #include <cerrno>
@@ -25,11 +24,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
-#include <fstream>
 #include <poll.h>
-#include <sstream>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -39,54 +35,6 @@ using namespace lift::service;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-bool readFileAll(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
-}
-
-/// Atomic publish: write to a same-directory temp file, then rename.
-/// Readers either see the old bytes or the new bytes, never a torn write.
-bool writeFileAtomic(const std::string &Path, const std::string &Bytes) {
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return false;
-    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    if (!Out.flush()) {
-      std::remove(Tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool makeDirs(const std::string &Path) {
-  std::string Cur;
-  for (size_t I = 0; I <= Path.size(); ++I) {
-    if (I != Path.size() && Path[I] != '/') {
-      Cur += Path[I];
-      continue;
-    }
-    if (I != Path.size())
-      Cur += '/';
-    if (Cur.empty() || Cur == "/")
-      continue;
-    if (::mkdir(Cur.c_str(), 0755) != 0 && errno != EEXIST)
-      return false;
-  }
-  return true;
-}
 
 void setNonBlockingCloexec(int Fd) {
   int Fl = ::fcntl(Fd, F_GETFL, 0);
@@ -159,11 +107,9 @@ bool Server::start(std::string &Err) {
     Err = "server already started";
     return false;
   }
-  if (!Opts.ArtifactDir.empty() && !makeDirs(Opts.ArtifactDir)) {
-    Err = "cannot create artifact directory " + Opts.ArtifactDir + ": " +
-          std::strerror(errno);
+  if (!Opts.ArtifactDir.empty() &&
+      !support::ContentStore(Opts.ArtifactDir).create(Err))
     return false;
-  }
 
   int Pipe[2];
   if (::pipe(Pipe) != 0) {
@@ -476,7 +422,7 @@ void Server::acceptReady() {
         continue;
       return; // EAGAIN or transient accept failure: next poll retries
     }
-    if (ocl::fault::shouldFail(ocl::fault::Site::Accept)) {
+    if (fault::shouldFail(fault::Site::Accept)) {
       // Injected accept outage: the connection is dropped before any
       // byte is exchanged; the client sees EOF (E0703) and retries.
       ::close(Fd);
@@ -498,7 +444,7 @@ void Server::acceptReady() {
 }
 
 void Server::connReadable(Conn &C) {
-  if (ocl::fault::shouldFail(ocl::fault::Site::RequestRead)) {
+  if (fault::shouldFail(fault::Site::RequestRead)) {
     S.IoErrors.fetch_add(1);
     closeConn(C);
     return;
@@ -606,7 +552,7 @@ void Server::handleLine(Conn &C, const std::string &Line) {
   // Queued first can overcount but never undercount the outstanding
   // work: the daemon may shed one request early, it never over-admits.
   bool Admit = true;
-  if (ocl::fault::shouldFail(ocl::fault::Site::QueueAdmit))
+  if (fault::shouldFail(fault::Site::QueueAdmit))
     Admit = false;
   else if (S.Queued.load() + S.Active.load() >=
            static_cast<int64_t>(Opts.Workers) + Opts.QueueDepth)
@@ -640,7 +586,7 @@ void Server::handleLine(Conn &C, const std::string &Line) {
 }
 
 void Server::respond(Conn &C, const Response &R) {
-  if (ocl::fault::shouldFail(ocl::fault::Site::RequestWrite)) {
+  if (fault::shouldFail(fault::Site::RequestWrite)) {
     // Injected write outage: the response is lost and the connection
     // dropped; the client sees EOF (E0703) and retries.
     S.IoErrors.fetch_add(1);
@@ -844,30 +790,20 @@ Server::obtainProduct(const ExecRequest &E, bool NeedKernel, bool &Cached) {
 
 std::shared_ptr<CompileProduct>
 Server::loadArtifact(const std::string &Key) {
-  std::string Path = Opts.ArtifactDir + "/" + Key + ".json";
-  std::string HashPath = Opts.ArtifactDir + "/" + Key + ".hash";
-  if (ocl::fault::shouldFail(ocl::fault::Site::CacheRead))
-    return nullptr; // injected read outage: treated as a miss
-  std::string Text, Stored;
-  if (!readFileAll(Path, Text) || !readFileAll(HashPath, Stored))
-    return nullptr;
-  while (!Stored.empty() &&
-         (Stored.back() == '\n' || Stored.back() == '\r'))
-    Stored.pop_back();
-  if (Stored != support::hex16(support::fnv1a64(Text))) {
-    // A crash mid-write (or disk rot) left a torn artifact. Quarantine
-    // it — never serve bytes that fail their sidecar — and recompile.
-    std::rename(Path.c_str(), (Path + ".corrupt").c_str());
-    std::rename(HashPath.c_str(), (HashPath + ".corrupt").c_str());
+  // A crash mid-write (or disk rot) leaves an artifact that fails its
+  // sidecar: the store quarantines it, and the request recompiles.
+  support::ContentStore::Entry A =
+      support::ContentStore(Opts.ArtifactDir).get(Key + ".json");
+  if (A.K == support::ContentStore::Entry::Corrupt)
     std::fprintf(stderr,
-                 "liftd: warning[E0608]: artifact %s failed its integrity "
-                 "check; quarantined, recompiling\n",
-                 Path.c_str());
+                 "liftd: warning[E0608]: artifact failed its integrity "
+                 "check (%s); quarantined, recompiling\n",
+                 A.Why.c_str());
+  if (A.K != support::ContentStore::Entry::Hit)
     return nullptr;
-  }
 
   json::Value V;
-  if (!json::parse(Text, V) || V.K != json::Value::Obj)
+  if (!json::parse(A.Bytes, V) || V.K != json::Value::Obj)
     return nullptr;
   if (V.strField("schema") != "liftd-v1")
     return nullptr;
@@ -905,18 +841,6 @@ Server::loadArtifact(const std::string &Key) {
 
 void Server::storeArtifact(const std::string &Key,
                            const CompileProduct &P) {
-  std::string Path = Opts.ArtifactDir + "/" + Key + ".json";
-  // Cross-process single-flight for daemons sharing an artifact dir;
-  // best-effort (rename keeps an unguarded race safe, last writer wins).
-  support::FileLock Lock = support::FileLock::acquire(Path + ".lock");
-  if (ocl::fault::shouldFail(ocl::fault::Site::CacheWrite)) {
-    std::fprintf(stderr,
-                 "liftd: warning[E0609]: artifact %s not persisted "
-                 "(injected write outage)\n",
-                 Path.c_str());
-    return;
-  }
-
   std::string J = "{\"schema\":\"liftd-v1\",\"key\":";
   J += json::quoted(Key);
   J += ",\"parsed\":";
@@ -952,14 +876,13 @@ void Server::storeArtifact(const std::string &Key,
   }
   J += "]}";
 
-  // Artifact first, sidecar second: a crash between the two leaves a
-  // missing or stale sidecar, which load treats as corrupt — never a
-  // verified-but-wrong artifact.
-  if (!writeFileAtomic(Path, J) ||
-      !writeFileAtomic(Opts.ArtifactDir + "/" + Key + ".hash",
-                       support::hex16(support::fnv1a64(J)) + "\n")) {
+  // Cross-process single-flight for daemons sharing an artifact dir;
+  // best-effort (the store's temp+rename keeps an unguarded race safe).
+  const support::ContentStore Store(Opts.ArtifactDir);
+  support::FileLock Lock = Store.lock(Key + ".json");
+  std::string Err;
+  if (!Store.put(Key + ".json", J, Err))
     std::fprintf(stderr,
                  "liftd: warning[E0609]: artifact %s not persisted: %s\n",
-                 Path.c_str(), std::strerror(errno));
-  }
+                 Store.path(Key + ".json").c_str(), Err.c_str());
 }

@@ -4,14 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ocl/FaultInject.h"
+#include "support/FaultInject.h"
 
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
 
 using namespace lift;
-using namespace lift::ocl;
 
 namespace {
 

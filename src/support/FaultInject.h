@@ -29,13 +29,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef LIFT_OCL_FAULTINJECT_H
-#define LIFT_OCL_FAULTINJECT_H
+#ifndef LIFT_SUPPORT_FAULTINJECT_H
+#define LIFT_SUPPORT_FAULTINJECT_H
 
 #include <cstdint>
 
 namespace lift {
-namespace ocl {
 namespace fault {
 
 /// The runtime operations that can be made to fail. Numeric values are the
@@ -50,8 +49,8 @@ enum class Site : unsigned {
   Barrier = 6,       ///< a work-group barrier crossing mid-execution
   GroupDispatch = 7, ///< claiming a work-group for execution
   StepChunk = 8,     ///< a step-budget checkpoint (every TickInterval steps)
-  CacheRead = 9,     ///< reading/validating a persistent cache entry
-  CacheWrite = 10,   ///< persisting a cache entry (tune JSON, native .so)
+  CacheRead = 9,     ///< reading a content-store entry (support/ContentStore.h)
+  CacheWrite = 10,   ///< publishing a content-store entry
   Accept = 11,       ///< accepting a client connection (liftd listener)
   RequestRead = 12,  ///< reading a request frame off a client connection
   RequestWrite = 13, ///< writing a response frame back to a client
@@ -99,7 +98,6 @@ bool enabled();
 bool shouldFail(Site S);
 
 } // namespace fault
-} // namespace ocl
 } // namespace lift
 
-#endif // LIFT_OCL_FAULTINJECT_H
+#endif // LIFT_SUPPORT_FAULTINJECT_H

@@ -7,40 +7,25 @@
 #include "tune/Cache.h"
 
 #include "ir/Printer.h"
-#include "ocl/FaultInject.h"
-#include "support/FileLock.h"
+#include "support/ContentStore.h"
 #include "support/Json.h"
-#include "support/Retry.h"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include <unistd.h>
 
 using namespace lift;
 using namespace lift::tune;
 
-uint64_t tune::fnv1a64(const std::string &S) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
+std::string tune::tuneCacheKey(const Workload &W, const TuneConfig &C) {
+  return support::contentHash(ir::printProgram(W.Program) + "|" + C.key());
 }
 
-std::string tune::tuneCacheKey(const Workload &W, const TuneConfig &C) {
-  uint64_t H = fnv1a64(ir::printProgram(W.Program) + "|" + C.key());
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(H));
-  return Buf;
+/// The entry's name in the tune store.
+static std::string entryName(const Workload &W, const TuneConfig &C) {
+  return W.Name + "-" + tuneCacheKey(W, C) + ".json";
 }
 
 std::string tune::tuneCachePath(const Workload &W, const TuneConfig &C) {
-  return C.CacheDir + "/" + W.Name + "-" + tuneCacheKey(W, C) + ".json";
+  return support::ContentStore(C.CacheDir).path(entryName(W, C));
 }
 
 //===----------------------------------------------------------------------===//
@@ -123,30 +108,20 @@ bool tune::loadCachedResult(const Workload &W, const TuneConfig &C,
                             TuneResult &R, DiagnosticEngine *Engine) {
   if (C.CacheDir.empty())
     return false;
-  const std::string Path = tuneCachePath(W, C);
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  // An injected read fault models a spurious I/O error: the entry is a
-  // plain miss (the file stays in place — it is not corrupt).
-  if (ocl::fault::shouldFail(ocl::fault::Site::CacheRead))
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  std::string Text = SS.str();
+  const support::ContentStore Store(C.CacheDir);
+  const std::string File = entryName(W, C);
+  const std::string Path = Store.path(File);
 
-  // A corrupt entry is renamed aside so it cannot shadow the fresh store
-  // a re-tune will perform; a stale entry (key mismatch below) stays in
+  // A corrupt entry is set aside so it cannot shadow the fresh store a
+  // re-tune will perform; a stale entry (key mismatch below) stays in
   // place as a silent miss.
-  auto Quarantine = [&](const std::string &Why) {
-    const std::string Aside = Path + ".corrupt";
-    ::rename(Path.c_str(), Aside.c_str());
+  auto Quarantined = [&](const std::string &Why) {
     if (Engine)
       Engine->warning(DiagCode::CacheEntryQuarantined,
                       DiagLocation::inContext("tune:" + W.Name),
                       "tune cache entry '" + Path + "' is corrupt (" + Why +
-                          "); quarantined to '" + Aside +
-                          "' and treated as a miss");
+                          "); quarantined to '" + Path +
+                          ".corrupt' and treated as a miss");
     else
       std::fprintf(stderr,
                    "lift: warning: tune cache entry '%s' is corrupt (%s); "
@@ -154,9 +129,19 @@ bool tune::loadCachedResult(const Workload &W, const TuneConfig &C,
                    Path.c_str(), Why.c_str());
     return false;
   };
+  support::ContentStore::Entry E = Store.get(File);
+  if (E.K == support::ContentStore::Entry::Corrupt)
+    return Quarantined(E.Why);
+  if (E.K == support::ContentStore::Entry::Miss)
+    return false;
+  // Bytes that match their sidecar but not the entry format.
+  auto Quarantine = [&](const std::string &Why) {
+    Store.quarantine(File);
+    return Quarantined(Why);
+  };
 
   JValue Root;
-  if (!json::parse(Text, Root) || Root.K != JValue::Obj)
+  if (!json::parse(E.Bytes, Root) || Root.K != JValue::Obj)
     return Quarantine("malformed or truncated JSON");
   // Schema gate: entries written before the schema field existed are the
   // implicit v1 shape, which v2 reads unchanged (v2 only adds fields); an
@@ -220,10 +205,6 @@ bool tune::storeCachedResult(const Workload &W, const TuneConfig &C,
                              const TuneResult &R, DiagnosticEngine *Engine) {
   if (C.CacheDir.empty())
     return false;
-  std::error_code EC;
-  std::filesystem::create_directories(C.CacheDir, EC);
-  if (EC)
-    return false;
 
   std::string J = "{\n";
   J += "  \"schema\": \"lift-tune-v2\"";
@@ -267,52 +248,25 @@ bool tune::storeCachedResult(const Workload &W, const TuneConfig &C,
   }
   J += "\n  ]\n}\n";
 
-  // Write-temp-then-rename so a crashed or faulted writer never leaves a
-  // torn entry behind; transient failures (including the injected
-  // CacheWrite fault) retry under the deterministic backoff policy. The
-  // advisory lock single-flights concurrent *processes* writing the same
-  // key (fork-two-writers); rename keeps even an unguarded race safe.
-  const std::string Path = tuneCachePath(W, C);
-  const std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-  support::FileLock Lock = support::FileLock::acquire(Path + ".lock");
-  try {
-    retry::runWithRetry(retry::Policy::fromEnv(), "tune cache write", [&] {
-      if (ocl::fault::shouldFail(ocl::fault::Site::CacheWrite))
-        throwDiag(DiagCode::CacheWriteFailed,
-                  DiagLocation::inContext("tune:" + W.Name),
-                  "injected fault: persisting the tune cache entry failed");
-      {
-        std::ofstream Out(Tmp, std::ios::trunc);
-        Out << J;
-        if (!Out) {
-          ::remove(Tmp.c_str());
-          throwDiag(DiagCode::CacheWriteFailed,
+  // The lock single-flights concurrent processes storing the same key;
+  // the store's temp+rename keeps even an unguarded race safe.
+  const support::ContentStore Store(C.CacheDir);
+  const std::string Name = entryName(W, C);
+  support::FileLock Lock = Store.lock(Name);
+  std::string Err;
+  if (Store.put(Name, J, Err))
+    return true;
+  if (Engine)
+    Engine->warning(DiagCode::CacheWriteFailed,
                     DiagLocation::inContext("tune:" + W.Name),
-                    "could not write the tune cache entry to '" + Tmp + "'");
-        }
-      }
-      if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
-        ::remove(Tmp.c_str());
-        throwDiag(DiagCode::CacheWriteFailed,
-                  DiagLocation::inContext("tune:" + W.Name),
-                  "could not move the tune cache entry into place at '" +
-                      Path + "'");
-      }
-    });
-  } catch (const DiagnosticError &E) {
-    if (Engine)
-      Engine->warning(DiagCode::CacheWriteFailed,
-                      DiagLocation::inContext("tune:" + W.Name),
-                      "tune cache entry not persisted (" + E.Diag.Message +
-                          "); the next invocation will re-tune");
-    else
-      std::fprintf(stderr,
-                   "lift: warning: tune cache entry for '%s' not "
-                   "persisted; the next invocation will re-tune\n",
-                   W.Name.c_str());
-    return false;
-  }
-  return true;
+                    "tune cache entry not persisted (" + Err +
+                        "); the next invocation will re-tune");
+  else
+    std::fprintf(stderr,
+                 "lift: warning: tune cache entry for '%s' not "
+                 "persisted; the next invocation will re-tune\n",
+                 W.Name.c_str());
+  return false;
 }
 
 std::optional<int64_t> tune::cachedBestWrgChunk(const Workload &W,

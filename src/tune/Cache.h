@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Persistent auto-tuning cache: one JSON file per (workload, IR hash,
-/// search config) under TuneConfig::CacheDir (default `.lift-tune/`).
-/// A warm cache makes a repeated invocation return the stored result
-/// without executing any candidate. The file format is documented in
-/// docs/TUNING.md; entries whose embedded key no longer matches the
-/// program or configuration are treated as misses, so stale entries are
-/// harmless.
+/// Persistent auto-tuning cache: one JSON entry per (workload, IR hash,
+/// search config) in a content store (support/ContentStore.h) under
+/// TuneConfig::CacheDir (default `.lift-tune/`). A warm cache makes a
+/// repeated invocation return the stored result without executing any
+/// candidate. The entry format is documented in docs/TUNING.md; entries
+/// whose embedded key no longer matches the program or configuration are
+/// treated as misses, so stale entries are harmless.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,29 +27,26 @@
 namespace lift {
 namespace tune {
 
-/// FNV-1a 64-bit hash (cache file naming and entry validation).
-uint64_t fnv1a64(const std::string &S);
-
-/// The cache key of (\p W, \p C): hex FNV-1a of the printed IR plus the
-/// config serialization.
+/// The cache key of (\p W, \p C): the content hash of the printed IR
+/// plus the config serialization.
 std::string tuneCacheKey(const Workload &W, const TuneConfig &C);
 
 /// Full path of the cache file for (\p W, \p C).
 std::string tuneCachePath(const Workload &W, const TuneConfig &C);
 
 /// Loads a cached result. Returns false (leaving \p R untouched) when the
-/// file is missing, unreadable, malformed, or keyed differently. A
-/// malformed or truncated entry is quarantined — renamed to
-/// `<file>.corrupt` with an E0608 warning into \p Engine (stderr when
-/// null) — so it cannot shadow future stores; a stale entry (key
-/// mismatch) stays in place as a silent miss.
+/// entry is missing, unreadable, corrupt, malformed, or keyed
+/// differently. An entry that fails its `.hash` sidecar check or the
+/// JSON format check is quarantined — renamed to `<file>.corrupt` with
+/// an E0608 warning into \p Engine (stderr when null) — so it cannot
+/// shadow future stores; a stale entry (key mismatch) stays in place as
+/// a silent miss.
 bool loadCachedResult(const Workload &W, const TuneConfig &C, TuneResult &R,
                       DiagnosticEngine *Engine = nullptr);
 
-/// Stores \p R, creating the cache directory if needed. The entry is
-/// written to a per-pid temporary and atomically renamed into place, so a
-/// crashed writer never leaves a torn file; transient write failures are
-/// retried under the deterministic backoff policy (support/Retry.h).
+/// Stores \p R with its sidecar, creating the cache directory and its
+/// parents if needed, under the content store's write policy (atomic
+/// temp+rename, transient failures retried under support/Retry.h).
 /// Best-effort: returns false (after an E0609 warning) on I/O failure.
 bool storeCachedResult(const Workload &W, const TuneConfig &C,
                        const TuneResult &R,

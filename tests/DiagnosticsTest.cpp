@@ -55,6 +55,13 @@ struct MalformedCase {
   const char *Substr; ///< Required substring of its message.
 };
 
+/// Without a printer gtest shows the case as raw bytes, pointers included,
+/// and ctest bakes that text into the test's name: the name would change
+/// with every load address. The expected code is stable and says more.
+void PrintTo(const MalformedCase &C, std::ostream *OS) {
+  *OS << diagCodeId(C.Code);
+}
+
 std::string deepNesting() {
   std::string S = "fun(x: [float]N) => ";
   for (int I = 0; I != 250; ++I)
@@ -163,6 +170,11 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<MalformedCase> &I) {
       return I.param.Name;
     });
+
+TEST(MalformedILTable, PrintsCasesByExpectedCode) {
+  for (const MalformedCase &C : Cases)
+    EXPECT_EQ(::testing::PrintToString(C), diagCodeId(C.Code)) << C.Name;
+}
 
 //===----------------------------------------------------------------------===//
 // Engine mechanics

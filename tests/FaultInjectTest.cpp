@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Sweeps deterministic fault injection (ocl/FaultInject.h) over the
+/// Sweeps deterministic fault injection (support/FaultInject.h) over the
 /// benchmark suite: failing the n-th device allocation or buffer binding
 /// must surface as a clean Expected<> failure carrying an E0513
 /// diagnostic — never an abort, hang or leak (the check tier runs this
@@ -16,9 +16,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "native/Native.h"
-#include "ocl/FaultInject.h"
 #include "suite/Benchmark.h"
 #include "support/Diagnostics.h"
+#include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@
 
 using namespace lift;
 using namespace lift::bench;
-namespace fault = lift::ocl::fault;
+namespace fault = lift::fault;
 
 namespace {
 
@@ -176,7 +176,7 @@ TEST(FaultSoak, SeededSweepSucceedsOrFailsCleanly) {
   for (int Seed = 1; Seed <= Seeds; ++Seed) {
     BenchmarkCase Case =
         allBenchmarks(false)[static_cast<size_t>(Seed) % 12];
-    ocl::fault::armSeeded(static_cast<uint64_t>(Seed));
+    fault::armSeeded(static_cast<uint64_t>(Seed));
     DiagnosticEngine Engine;
     Expected<Outcome> R = runLiftChecked(Case, OptConfig::Full, Run, Engine);
     fault::disarm();

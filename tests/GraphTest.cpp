@@ -21,7 +21,7 @@
 
 #include "graph/GraphExec.h"
 #include "native/Native.h"
-#include "ocl/FaultInject.h"
+#include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
 
@@ -116,6 +116,13 @@ struct BadGraphCase {
   const char *Text;
   DiagCode Want;
 };
+
+/// Without a printer gtest shows the case as raw bytes, pointers included,
+/// and ctest bakes that text into the test's name: the name would change
+/// with every load address. The expected code is stable and says more.
+void PrintTo(const BadGraphCase &C, std::ostream *OS) {
+  *OS << diagCodeId(C.Want);
+}
 
 class GraphDiagnostics : public ::testing::TestWithParam<BadGraphCase> {};
 
@@ -253,6 +260,11 @@ INSTANTIATE_TEST_SUITE_P(Table, GraphDiagnostics,
                            return std::string(Info.param.Label);
                          });
 
+TEST(GraphDiagnosticsTable, PrintsCasesByExpectedCode) {
+  for (const BadGraphCase &C : BadGraphs)
+    EXPECT_EQ(::testing::PrintToString(C), diagCodeId(C.Want)) << C.Label;
+}
+
 TEST(GraphValidate, ReportsSeveralErrorsInOnePass) {
   // A graph with two independent mistakes surfaces both, not just the
   // first: validation keeps going.
@@ -323,6 +335,35 @@ TEST_P(GraphExamples, NativeExactMatchesSimulator) {
   Expected<GraphRunResult> NR = runGraph(*VG, Nat, NatEngine);
   ASSERT_TRUE(NR) << renderAll(NatEngine);
   EXPECT_EQ(SR->Outputs, NR->Outputs);
+}
+
+/// The checkers are simulator-only: a native graph run asked for them
+/// says so once instead of dropping them silently.
+TEST(GraphNative, SimulatorOnlyChecksAreNoted) {
+  if (native::toolchainCompiler().empty())
+    GTEST_SKIP() << "no system compiler installed";
+  DiagnosticEngine Engine;
+  Expected<ValidatedGraph> VG =
+      validated(readExample("stencil_chain.liftg"), Engine);
+  ASSERT_TRUE(VG) << renderAll(Engine);
+  auto Notes = [](const DiagnosticEngine &E) {
+    unsigned N = 0;
+    for (const Diagnostic &D : E.diagnostics())
+      N += D.Severity == DiagSeverity::Note &&
+           D.Message == native::SimulatorOnlyChecksNote;
+    return N;
+  };
+
+  GraphRunOptions GO;
+  GO.CheckRaces = GO.CheckMemory = true;
+  DiagnosticEngine SimEngine;
+  ASSERT_TRUE(runGraph(*VG, GO, SimEngine)) << renderAll(SimEngine);
+  EXPECT_EQ(Notes(SimEngine), 0u) << renderAll(SimEngine);
+
+  GO.NativeBackend = true;
+  DiagnosticEngine NatEngine;
+  ASSERT_TRUE(runGraph(*VG, GO, NatEngine)) << renderAll(NatEngine);
+  EXPECT_EQ(Notes(NatEngine), 1u) << renderAll(NatEngine);
 }
 
 TEST_P(GraphExamples, MemoryCleanAcrossStageBoundaries) {
@@ -561,7 +602,7 @@ TEST(GraphLimits, MemoryBudgetCoversBuffers) {
 //===----------------------------------------------------------------------===//
 
 struct FaultGuard {
-  ~FaultGuard() { ocl::fault::disarm(); }
+  ~FaultGuard() { fault::disarm(); }
 };
 
 TEST(GraphFaults, StageDispatchSweptFirstMiddleLast) {
@@ -572,16 +613,16 @@ TEST(GraphFaults, StageDispatchSweptFirstMiddleLast) {
   ASSERT_TRUE(VG) << renderAll(Engine);
 
   // Counting pass: the stencil chain dispatches four stages.
-  ocl::fault::countOnly();
+  fault::countOnly();
   GraphRunOptions GO;
   DiagnosticEngine E0;
   ASSERT_TRUE(runGraph(*VG, GO, E0)) << renderAll(E0);
   uint64_t N =
-      ocl::fault::occurrences(ocl::fault::Site::GraphStageDispatch);
+      fault::occurrences(fault::Site::GraphStageDispatch);
   ASSERT_EQ(N, 4u);
 
   for (uint64_t Nth : {uint64_t(1), (N + 1) / 2, N}) {
-    ocl::fault::arm(ocl::fault::Site::GraphStageDispatch, Nth);
+    fault::arm(fault::Site::GraphStageDispatch, Nth);
     DiagnosticEngine E1;
     EXPECT_FALSE(runGraph(*VG, GO, E1)) << "nth=" << Nth;
     EXPECT_TRUE(hasCode(E1, DiagCode::GraphFaultInjected, "stage dispatch"))
@@ -597,15 +638,15 @@ TEST(GraphFaults, BufferReuseSweptAndCountable) {
       validated(readExample("stencil_chain.liftg"), Engine);
   ASSERT_TRUE(VG) << renderAll(Engine);
 
-  ocl::fault::countOnly();
+  fault::countOnly();
   GraphRunOptions GO;
   DiagnosticEngine E0;
   ASSERT_TRUE(runGraph(*VG, GO, E0)) << renderAll(E0);
-  uint64_t N = ocl::fault::occurrences(ocl::fault::Site::GraphBufferReuse);
+  uint64_t N = fault::occurrences(fault::Site::GraphBufferReuse);
   ASSERT_GE(N, 1u);
 
   for (uint64_t Nth = 1; Nth <= N; ++Nth) {
-    ocl::fault::arm(ocl::fault::Site::GraphBufferReuse, Nth);
+    fault::arm(fault::Site::GraphBufferReuse, Nth);
     DiagnosticEngine E1;
     EXPECT_FALSE(runGraph(*VG, GO, E1)) << "nth=" << Nth;
     EXPECT_TRUE(hasCode(E1, DiagCode::GraphFaultInjected, "buffer reuse"))
@@ -614,7 +655,7 @@ TEST(GraphFaults, BufferReuseSweptAndCountable) {
   }
 
   // The naive executor never recycles, so the site never fires there.
-  ocl::fault::armAlways(ocl::fault::Site::GraphBufferReuse);
+  fault::armAlways(fault::Site::GraphBufferReuse);
   GraphRunOptions Naive;
   Naive.ReuseBuffers = false;
   DiagnosticEngine E2;
@@ -630,7 +671,7 @@ TEST(GraphFaults, FailedProducerPoisonsDependentsDeterministically) {
 
   // Kill stage s2; with keep-going the run continues, and s3 (which
   // consumes s2's output) must fail deterministically naming s2.
-  ocl::fault::arm(ocl::fault::Site::GraphStageDispatch, 2);
+  fault::arm(fault::Site::GraphStageDispatch, 2);
   GraphRunOptions GO;
   GO.KeepGoing = true;
   DiagnosticEngine E1;
@@ -648,7 +689,7 @@ TEST(GraphFaults, MidLaunchFaultFailsTheStageByName) {
 
   // A mid-execution checkpoint fault inside stage 2's launch: the E0515
   // cancellation surfaces wrapped in E0809 naming the stage.
-  ocl::fault::arm(ocl::fault::Site::GroupDispatch, 3);
+  fault::arm(fault::Site::GroupDispatch, 3);
   GraphRunOptions GO;
   DiagnosticEngine E1;
   EXPECT_FALSE(runGraph(*VG, GO, E1));

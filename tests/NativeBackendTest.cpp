@@ -20,7 +20,10 @@
 ///    print -> system compiler -> execute without drifting;
 ///  - injected toolchain faults (compile / dlopen / dlsym) must fail
 ///    cleanly into Expected<>, leak no temp files into the cache
-///    directory, and leave both backends usable afterwards.
+///    directory, and leave both backends usable afterwards;
+///  - the artifact store: corrupt objects are quarantined and rebuilt,
+///    read faults are plain misses, nested cache directories are
+///    created, and a build without OpenMP is noted.
 ///
 /// Every test skips cleanly when no system compiler is installed
 /// (native::toolchainCompiler() empty).
@@ -32,9 +35,9 @@
 #include "cast/CPrinter.h"
 #include "native/Native.h"
 #include "native/NativePrinter.h"
-#include "ocl/FaultInject.h"
 #include "suite/Benchmark.h"
 #include "support/Diagnostics.h"
+#include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
 
@@ -42,10 +45,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 #include <limits>
 #include <map>
 #include <string>
+#include <sys/stat.h>
+#include <unistd.h>
 #include <vector>
 
 using namespace lift;
@@ -311,7 +315,7 @@ protected:
   }
 
   void TearDown() override {
-    ocl::fault::disarm();
+    fault::disarm();
     ::unsetenv("LIFT_NATIVE_CACHE_DIR");
     std::error_code EC;
     std::filesystem::remove_all(CacheDir, EC);
@@ -336,7 +340,7 @@ protected:
 };
 
 TEST_F(NativeFaultInjection, ToolchainSitesFailCleanly) {
-  using ocl::fault::Site;
+  using fault::Site;
   for (Site S :
        {Site::NativeCompile, Site::NativeLoad, Site::NativeSym}) {
     // Fresh cache per site so the compile path really runs each time.
@@ -344,19 +348,19 @@ TEST_F(NativeFaultInjection, ToolchainSitesFailCleanly) {
     std::filesystem::remove_all(CacheDir, EC);
     // Persistent outage: the toolchain sites sit under the transient
     // retry policy (support/Retry.h), which recovers a one-shot fault.
-    ocl::fault::armAlways(S);
+    fault::armAlways(S);
     DiagnosticEngine E;
     Expected<bench::NativeOutcome> R = launchNative(E);
-    EXPECT_FALSE(bool(R)) << "site " << ocl::fault::siteName(S)
+    EXPECT_FALSE(bool(R)) << "site " << fault::siteName(S)
                           << " did not fail";
     bool SawInjected = false;
     for (const Diagnostic &D : E.diagnostics())
       SawInjected |= D.Code == DiagCode::RuntimeFaultInjected;
     EXPECT_TRUE(SawInjected)
-        << "site " << ocl::fault::siteName(S) << " produced:\n"
+        << "site " << fault::siteName(S) << " produced:\n"
         << E.render();
     expectNoTempFiles();
-    ocl::fault::disarm();
+    fault::disarm();
 
     // Both backends recover immediately after the fault clears.
     DiagnosticEngine E2;
@@ -446,7 +450,7 @@ TEST_F(NativeFaultInjection, SeededSweepNeverLeaks) {
   // native path runs repeatedly. Every launch either succeeds or fails
   // with recorded diagnostics; the cache directory stays temp-free.
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
-    ocl::fault::armSeeded(Seed);
+    fault::armSeeded(Seed);
     DiagnosticEngine E;
     Expected<bench::NativeOutcome> R = launchNative(E);
     if (!R) {
@@ -454,9 +458,123 @@ TEST_F(NativeFaultInjection, SeededSweepNeverLeaks) {
     }
     expectNoTempFiles();
   }
-  ocl::fault::disarm();
+  fault::disarm();
   DiagnosticEngine E;
   EXPECT_TRUE(bool(launchNative(E))) << E.render();
+}
+
+/// A cache directory whose parents do not exist yet is created whole by
+/// the first compile: the launch stays native (no E0610 fallback to the
+/// simulator) and the artifact lands in the nested directory.
+TEST_F(NativeFaultInjection, NestedCacheDirectoryIsCreated) {
+  namespace fs = std::filesystem;
+  const std::string Nested = CacheDir + "/a/b";
+  std::error_code EC;
+  fs::remove_all(CacheDir, EC);
+  ::setenv("LIFT_NATIVE_CACHE_DIR", Nested.c_str(), 1);
+
+  bench::RunOptions Run;
+  Run.Threads = 1;
+  DiagnosticEngine E;
+  bool UsedFallback = true;
+  Expected<bench::Outcome> R = bench::runLiftNativeOrSimChecked(
+      bench::makeNN(false), bench::OptConfig::Full, Run, E, &UsedFallback);
+  ASSERT_TRUE(bool(R)) << E.render();
+  EXPECT_FALSE(UsedFallback) << E.render();
+  for (const Diagnostic &D : E.diagnostics())
+    EXPECT_NE(D.Code, DiagCode::NativeFallback) << D.render();
+
+  size_t Objects = 0;
+  for (const auto &Entry : fs::directory_iterator(Nested, EC))
+    if (Entry.path().extension() == ".so") {
+      ++Objects;
+      EXPECT_EQ(Entry.path().stem().string().size(), 16u) << Entry.path();
+    }
+  EXPECT_GT(Objects, 0u) << "no <key>.so in " << Nested;
+}
+
+/// A read fault on a warm launch is a spurious I/O error, not corruption:
+/// the artifact stays where it is, is reused, and nothing warns E0611.
+TEST_F(NativeFaultInjection, ReadFaultOnWarmLaunchKeepsTheArtifact) {
+  namespace fs = std::filesystem;
+  DiagnosticEngine E1;
+  ASSERT_TRUE(bool(launchNative(E1))) << E1.render();
+  std::map<std::string, ino_t> Inodes;
+  for (const auto &Entry : fs::directory_iterator(CacheDir))
+    if (Entry.path().extension() == ".so") {
+      struct stat St;
+      ASSERT_EQ(::stat(Entry.path().c_str(), &St), 0);
+      Inodes[Entry.path().string()] = St.st_ino;
+    }
+  ASSERT_FALSE(Inodes.empty()) << "warm launch cached no shared objects";
+
+  fault::arm(fault::Site::CacheRead, 1);
+  DiagnosticEngine E2;
+  Expected<bench::NativeOutcome> R = launchNative(E2);
+  const uint64_t Fired = fault::occurrences(fault::Site::CacheRead);
+  fault::disarm();
+  ASSERT_TRUE(bool(R)) << E2.render();
+  EXPECT_GE(Fired, 1u) << "the read fault site never fired";
+  for (const Diagnostic &D : E2.diagnostics())
+    EXPECT_NE(D.Code, DiagCode::NativeArtifactCorrupt) << D.render();
+  for (const auto &[Path, Ino] : Inodes) {
+    struct stat St;
+    ASSERT_EQ(::stat(Path.c_str(), &St), 0) << Path << " was moved away";
+    EXPECT_EQ(St.st_ino, Ino) << Path << " was rebuilt";
+  }
+}
+
+/// A toolchain without OpenMP still builds the kernel, serially, and says
+/// so: the launch records a note carrying the failed -fopenmp build's
+/// output. The compiler is a script that rejects -fopenmp; since
+/// toolchainCompiler() resolves once per process, the test only runs
+/// when nothing resolved it earlier (ctest runs each test on its own).
+TEST(NativeOpenMPFallback, SerialRebuildIsNoted) {
+  namespace fs = std::filesystem;
+  if (std::system("command -v c++ >/dev/null 2>&1") != 0)
+    GTEST_SKIP() << "no c++ on PATH";
+  const fs::path Dir = fs::path(::testing::TempDir()) /
+                       ("lift-native-no-openmp-" + std::to_string(::getpid()));
+  struct Cleanup {
+    fs::path Dir;
+    ~Cleanup() {
+      ::unsetenv("LIFT_NATIVE_CXX");
+      ::unsetenv("LIFT_NATIVE_CACHE_DIR");
+      std::error_code EC;
+      fs::remove_all(Dir, EC);
+    }
+  } Guard{Dir};
+  fs::create_directories(Dir);
+  const std::string Cxx = (Dir / "cxx-without-openmp").string();
+  {
+    std::ofstream Out(Cxx);
+    Out << "#!/bin/sh\n"
+           "for A in \"$@\"; do\n"
+           "  if [ \"$A\" = -fopenmp ]; then\n"
+           "    echo 'cxx-without-openmp: -fopenmp is not supported' >&2\n"
+           "    exit 1\n"
+           "  fi\n"
+           "done\n"
+           "exec c++ \"$@\"\n";
+  }
+  fs::permissions(Cxx, fs::perms::owner_all);
+  ::setenv("LIFT_NATIVE_CXX", Cxx.c_str(), 1);
+  ::setenv("LIFT_NATIVE_CACHE_DIR", (Dir / "cache").c_str(), 1);
+  if (native::toolchainCompiler() != Cxx)
+    GTEST_SKIP() << "the toolchain was resolved earlier in this process";
+
+  bench::RunOptions Run;
+  Run.Threads = 1;
+  DiagnosticEngine E;
+  Expected<bench::NativeOutcome> R = bench::runLiftNativeChecked(
+      bench::makeNN(false), bench::OptConfig::Full, Run, E);
+  ASSERT_TRUE(bool(R)) << E.render();
+  EXPECT_TRUE(R->Valid);
+  bool SawNote = false;
+  for (const Diagnostic &D : E.diagnostics())
+    SawNote |= D.Severity == DiagSeverity::Note &&
+               D.Message.find("-fopenmp is not supported") != std::string::npos;
+  EXPECT_TRUE(SawNote) << "the serial rebuild was silent:\n" << E.render();
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,9 +15,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ocl/FaultInject.h"
 #include "ocl/ThreadPool.h"
 #include "suite/Benchmark.h"
+#include "support/FaultInject.h"
 
 #include <gtest/gtest.h>
 
@@ -135,7 +135,7 @@ size_t countThreads() {
 }
 
 TEST(ThreadPoolChurnSoak, BringUpFaultsLeakNothing) {
-  ocl::fault::disarm();
+  fault::disarm();
   ocl::ThreadPool &Pool = ocl::ThreadPool::global();
 
   constexpr int Cycles = 300;
@@ -154,7 +154,7 @@ TEST(ThreadPoolChurnSoak, BringUpFaultsLeakNothing) {
   for (int I = 0; I < Cycles; ++I) {
     // One-shot bring-up fault: the pool's internal bounded retry absorbs
     // it, so the dispatch succeeds and runs every worker exactly once.
-    ocl::fault::arm(ocl::fault::Site::PoolStart, 1);
+    fault::arm(fault::Site::PoolStart, 1);
     std::atomic<unsigned> Ran{0};
     ASSERT_TRUE(Pool.tryRun(Workers, [&](unsigned) { ++Ran; }))
         << "cycle " << I << ": one-shot fault must stay invisible";
@@ -164,16 +164,16 @@ TEST(ThreadPoolChurnSoak, BringUpFaultsLeakNothing) {
   // Persistent bring-up outage: tryRun gives up after the bounded retry,
   // without having run any work — and without leaking per-attempt state.
   for (int I = 0; I < 50; ++I) {
-    ocl::fault::armAlways(ocl::fault::Site::PoolStart);
+    fault::armAlways(fault::Site::PoolStart);
     std::atomic<unsigned> Ran{0};
     EXPECT_FALSE(Pool.tryRun(Workers, [&](unsigned) { ++Ran; }))
         << "cycle " << I;
     EXPECT_EQ(Ran.load(), 0u) << "a failed bring-up must not run work";
-    ocl::fault::disarm();
+    fault::disarm();
     ASSERT_TRUE(Pool.tryRun(Workers, [&](unsigned) { ++Ran; }));
     EXPECT_EQ(Ran.load(), Workers) << "recovery cycle " << I;
   }
-  ocl::fault::disarm();
+  fault::disarm();
 
   EXPECT_EQ(countThreads(), BaseThreads)
       << "pool churn must not accumulate threads";
@@ -190,13 +190,13 @@ TEST(ThreadPoolChurnSoak, BringUpFaultsLeakNothing) {
   bench::Outcome Base = bench::runLift(All[0], bench::OptConfig::Full, Serial);
   ASSERT_TRUE(Base.Valid);
   for (int I = 0; I < 5; ++I) {
-    ocl::fault::arm(ocl::fault::Site::PoolStart, 1);
+    fault::arm(fault::Site::PoolStart, 1);
     bench::RunOptions Pooled;
     Pooled.Threads = 4;
     bench::Outcome Out = bench::runLift(All[0], bench::OptConfig::Full, Pooled);
     expectSameRun(Base, Out, "one-shot PoolStart cycle " + std::to_string(I));
   }
-  ocl::fault::disarm();
+  fault::disarm();
 }
 
 std::string parallelBenchName(const ::testing::TestParamInfo<int> &I) {

@@ -11,21 +11,23 @@
 /// must unwind as a clean Expected<> failure with a thread-count-
 /// invariant E0515 diagnostic and poisoned buffers, never a hang or
 /// abort); the native-to-simulator fallback (E0610) with bit-identical
-/// results; quarantine of corrupt tuning-cache entries (E0608) and
-/// atomic cache writes (E0609); and the deterministic bounded-retry
-/// policy (support/Retry.h) that distinguishes the two: transient
-/// failures recover invisibly, persistent outages degrade with a
-/// warning. Runs under `ctest -L resilience`.
+/// results; the content store's one policy (support/ContentStore.h:
+/// sidecar checks, quarantine, fault sites, retried atomic writes) and
+/// its use by the tuning cache (E0608, E0609); and the deterministic
+/// bounded-retry policy (support/Retry.h) that distinguishes the two:
+/// transient failures recover invisibly, persistent outages degrade with
+/// a warning. Runs under `ctest -L resilience`.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "codegen/Compiler.h"
 #include "ir/DSL.h"
 #include "ir/Prelude.h"
-#include "ocl/FaultInject.h"
 #include "ocl/Runtime.h"
 #include "suite/Benchmark.h"
+#include "support/ContentStore.h"
 #include "support/Diagnostics.h"
+#include "support/FaultInject.h"
 #include "support/Retry.h"
 #include "tune/Cache.h"
 #include "tune/Tuner.h"
@@ -35,6 +37,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -43,7 +46,6 @@
 
 using namespace lift;
 using namespace lift::bench;
-namespace fault = lift::ocl::fault;
 namespace fs = std::filesystem;
 
 namespace {
@@ -575,6 +577,149 @@ TEST_F(TuneCacheResilience, WriteOutageWarnsAndLeavesNoPartialFile) {
   DiagnosticEngine E3;
   EXPECT_TRUE(tune::loadCachedResult(W, C, Loaded, &E3)) << E3.render();
   EXPECT_EQ(Loaded.HasBest, R->HasBest);
+}
+
+//===----------------------------------------------------------------------===//
+// The content store's one policy, shared by the tune, native and liftd
+// caches
+//===----------------------------------------------------------------------===//
+
+class ContentStorePolicy : public ::testing::Test {
+protected:
+  using Entry = support::ContentStore::Entry;
+  fs::path Root;
+  fs::path Dir;
+
+  void SetUp() override {
+    // A directory whose parents do not exist yet: put creates them all.
+    Root = fs::temp_directory_path() /
+           ("lift-content-store-" + std::to_string(::getpid()));
+    Dir = Root / "a" / "b";
+    fs::remove_all(Root);
+  }
+  void TearDown() override {
+    fault::disarm();
+    std::error_code EC;
+    fs::remove_all(Root, EC);
+  }
+
+  support::ContentStore store() const {
+    return support::ContentStore(Dir.string());
+  }
+  fs::path file(const std::string &Name) const { return Dir / Name; }
+  std::string contents(const std::string &Name) const {
+    std::ifstream In(file(Name), std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(In), {});
+  }
+  void overwrite(const std::string &Name, const std::string &Bytes) const {
+    std::ofstream Out(file(Name), std::ios::binary | std::ios::trunc);
+    Out << Bytes;
+  }
+  void expectNoTempFiles() const {
+    std::error_code EC;
+    for (const auto &E : fs::directory_iterator(Dir, EC))
+      EXPECT_EQ(E.path().filename().string().find(".tmp."), std::string::npos)
+          << "leaked temp file: " << E.path();
+  }
+};
+
+TEST_F(ContentStorePolicy, PutThenGetRoundTrips) {
+  const support::ContentStore S = store();
+  std::string Err;
+  ASSERT_TRUE(S.put("k.json", "{\"v\": 1}\n", Err)) << Err;
+  // The sidecar is the body's 16-hex-digit content hash and a newline.
+  EXPECT_EQ(contents("k.hash"), support::contentHash("{\"v\": 1}\n") + "\n");
+  EXPECT_EQ(contents("k.hash").size(), 17u);
+
+  Entry E = S.get("k.json");
+  EXPECT_EQ(E.K, Entry::Hit) << E.Why;
+  EXPECT_EQ(E.Bytes, "{\"v\": 1}\n");
+  EXPECT_EQ(S.get("other.json").K, Entry::Miss);
+  expectNoTempFiles();
+}
+
+TEST_F(ContentStorePolicy, TornBodyIsQuarantined) {
+  const support::ContentStore S = store();
+  std::string Err;
+  ASSERT_TRUE(S.put("k.so", std::string(4096, 'x'), Err)) << Err;
+  overwrite("k.so", std::string(1000, 'x')); // torn; sidecar intact
+
+  Entry E = S.get("k.so");
+  EXPECT_EQ(E.K, Entry::Corrupt);
+  EXPECT_NE(E.Why.find("content hash mismatch"), std::string::npos) << E.Why;
+  EXPECT_TRUE(E.Bytes.empty());
+  // Set aside, not deleted, and the name is free for the next put.
+  EXPECT_FALSE(fs::exists(file("k.so")));
+  EXPECT_TRUE(fs::exists(file("k.so.corrupt")));
+  EXPECT_TRUE(fs::exists(file("k.hash.corrupt")));
+  EXPECT_EQ(S.get("k.so").K, Entry::Miss);
+}
+
+TEST_F(ContentStorePolicy, MissingSidecarReadsAsCorrupt) {
+  const support::ContentStore S = store();
+  std::string Err;
+  ASSERT_TRUE(S.put("k.json", "{}", Err)) << Err;
+  fs::remove(file("k.hash"));
+
+  Entry E = S.get("k.json");
+  EXPECT_EQ(E.K, Entry::Corrupt);
+  EXPECT_NE(E.Why.find("no content hash"), std::string::npos) << E.Why;
+  EXPECT_TRUE(fs::exists(file("k.json.corrupt")));
+}
+
+TEST_F(ContentStorePolicy, HalfPublishedEntryIsLeftToItsWriter) {
+  // A writer holding the lock has published the body but not yet the
+  // sidecar: a reader must not condemn the entry.
+  const support::ContentStore S = store();
+  std::string Err;
+  ASSERT_TRUE(S.put("k.json", "{}", Err)) << Err;
+  fs::remove(file("k.hash"));
+  {
+    support::FileLock Writer = S.lock("k.json");
+    ASSERT_TRUE(Writer.locked());
+    EXPECT_EQ(S.get("k.json").K, Entry::Miss);
+    EXPECT_TRUE(fs::exists(file("k.json")));
+  }
+  // Once the writer is gone, the same state is corrupt.
+  EXPECT_EQ(S.get("k.json").K, Entry::Corrupt);
+}
+
+TEST_F(ContentStorePolicy, ReadFaultIsAMissThatMovesNothing) {
+  const support::ContentStore S = store();
+  std::string Err;
+  ASSERT_TRUE(S.put("k.json", "{}", Err)) << Err;
+
+  fault::arm(fault::Site::CacheRead, 1);
+  Entry E = S.get("k.json");
+  fault::disarm();
+  EXPECT_EQ(E.K, Entry::Miss);
+  EXPECT_EQ(contents("k.json"), "{}");
+  EXPECT_FALSE(fs::exists(file("k.json.corrupt")));
+  EXPECT_EQ(S.get("k.json").K, Entry::Hit);
+}
+
+TEST_F(ContentStorePolicy, PersistentWriteOutageLeavesNothingBehind) {
+  const support::ContentStore S = store();
+  fault::armAlways(fault::Site::CacheWrite);
+  std::string Err;
+  EXPECT_FALSE(S.put("k.json", "{}", Err));
+  fault::disarm();
+  EXPECT_NE(Err.find("injected fault"), std::string::npos) << Err;
+  EXPECT_FALSE(fs::exists(file("k.json")));
+  EXPECT_FALSE(fs::exists(file("k.hash")));
+  expectNoTempFiles();
+}
+
+TEST_F(ContentStorePolicy, OneShotWriteFaultIsAbsorbedByTheRetry) {
+  const support::ContentStore S = store();
+  fault::arm(fault::Site::CacheWrite, 1);
+  std::string Err;
+  EXPECT_TRUE(S.put("k.json", "{}", Err)) << Err;
+  const uint64_t Fired = fault::occurrences(fault::Site::CacheWrite);
+  fault::disarm();
+  EXPECT_EQ(Fired, 2u) << "the retry should have written on attempt two";
+  EXPECT_EQ(S.get("k.json").K, Entry::Hit);
+  expectNoTempFiles();
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,9 +21,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ocl/FaultInject.h"
 #include "service/Client.h"
 #include "service/Server.h"
+#include "support/FaultInject.h"
 #include "support/FileLock.h"
 #include "support/Retry.h"
 
@@ -535,21 +535,21 @@ TEST(ServiceTest, DrainDeadlineCancelsStragglers) {
 //===----------------------------------------------------------------------===//
 
 class ServiceFaultTest
-    : public ::testing::TestWithParam<ocl::fault::Site> {};
+    : public ::testing::TestWithParam<fault::Site> {};
 
 TEST_P(ServiceFaultTest, OneShotFaultIsInvisibleBehindRetry) {
-  ocl::fault::disarm();
+  fault::disarm();
   TestServer T(2, 8);
   ASSERT_TRUE(T.start());
   Request R = execRequestFor(exampleSource("square.lift"), 64);
 
   RetryEnv Env("8", "2000");
-  ocl::fault::arm(GetParam(), 1);
+  fault::arm(GetParam(), 1);
   DiagnosticEngine Engine(20);
   Response Resp;
   bool Ok = roundTrip(T.client(), R, Resp, Engine);
-  uint64_t Fired = ocl::fault::occurrences(GetParam());
-  ocl::fault::disarm();
+  uint64_t Fired = fault::occurrences(GetParam());
+  fault::disarm();
   ASSERT_TRUE(Ok) << (Engine.diagnostics().empty()
                           ? std::string("<no diagnostic>")
                           : Engine.diagnostics()[0].render());
@@ -559,17 +559,17 @@ TEST_P(ServiceFaultTest, OneShotFaultIsInvisibleBehindRetry) {
 }
 
 TEST_P(ServiceFaultTest, PersistentFaultFailsCleanlyAndBounded) {
-  ocl::fault::disarm();
+  fault::disarm();
   TestServer T(2, 8);
   ASSERT_TRUE(T.start());
   Request R = execRequestFor(exampleSource("square.lift"), 64);
 
   RetryEnv Env("3", "500");
-  ocl::fault::armAlways(GetParam());
+  fault::armAlways(GetParam());
   DiagnosticEngine Engine(20);
   Response Resp;
   bool Ok = roundTrip(T.client(), R, Resp, Engine);
-  ocl::fault::disarm();
+  fault::disarm();
   EXPECT_FALSE(Ok) << "a persistent outage must surface, not hang";
   ASSERT_EQ(Engine.diagnostics().size(), 1u);
   const Diagnostic &D = Engine.diagnostics()[0];
@@ -590,17 +590,17 @@ TEST_P(ServiceFaultTest, PersistentFaultFailsCleanlyAndBounded) {
 
 INSTANTIATE_TEST_SUITE_P(
     ServiceSites, ServiceFaultTest,
-    ::testing::Values(ocl::fault::Site::Accept,
-                      ocl::fault::Site::RequestRead,
-                      ocl::fault::Site::RequestWrite,
-                      ocl::fault::Site::QueueAdmit),
-    [](const ::testing::TestParamInfo<ocl::fault::Site> &I) {
+    ::testing::Values(fault::Site::Accept,
+                      fault::Site::RequestRead,
+                      fault::Site::RequestWrite,
+                      fault::Site::QueueAdmit),
+    [](const ::testing::TestParamInfo<fault::Site> &I) {
       switch (I.param) {
-      case ocl::fault::Site::Accept:
+      case fault::Site::Accept:
         return "Accept";
-      case ocl::fault::Site::RequestRead:
+      case fault::Site::RequestRead:
         return "RequestRead";
-      case ocl::fault::Site::RequestWrite:
+      case fault::Site::RequestWrite:
         return "RequestWrite";
       default:
         return "QueueAdmit";

@@ -12,7 +12,7 @@
 #      clean Expected<> with an E0513 diagnostic.
 #   2. Out-of-process LIFT_FAULT_SEED sweep: drives the liftc CLI over
 #      the example programs with probabilistic injection armed from the
-#      environment (src/ocl/FaultInject.cpp). liftc's exit-code contract
+#      environment (src/support/FaultInject.cpp). liftc's exit-code contract
 #      is the oracle: 0 = ran, 1 = clean diagnostics; anything else
 #      (internal error, signal) fails the soak.
 #   3. Auto-tuner smoke: a bounded lift-tune search on two benchmarks

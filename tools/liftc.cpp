@@ -49,10 +49,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "graph/GraphExec.h"
-#include "ocl/FaultInject.h"
 #include "service/Client.h"
 #include "service/Exec.h"
 #include "support/Diagnostics.h"
+#include "support/FaultInject.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -190,11 +190,11 @@ void flushDiagnostics(const DiagnosticEngine &Engine) {
 }
 
 void printFaultCounts() {
-  for (unsigned S = 0; S != ocl::fault::NumSites; ++S) {
-    auto Id = static_cast<ocl::fault::Site>(S);
+  for (unsigned S = 0; S != fault::NumSites; ++S) {
+    auto Id = static_cast<fault::Site>(S);
     std::printf("// fault-count %u %llu %s\n", S,
-                static_cast<unsigned long long>(ocl::fault::occurrences(Id)),
-                ocl::fault::siteName(Id));
+                static_cast<unsigned long long>(fault::occurrences(Id)),
+                fault::siteName(Id));
   }
 }
 
@@ -384,18 +384,18 @@ int run(int argc, char **argv) {
       unsigned long long Nth = std::strtoull(argv[++I], &End, 10);
       unsigned long long SiteId =
           *End == ',' ? std::strtoull(End + 1, nullptr, 10) : ~0ull;
-      if (End == argv[I] || SiteId >= ocl::fault::NumSites) {
+      if (End == argv[I] || SiteId >= fault::NumSites) {
         std::fprintf(stderr,
                      "liftc: --inject-faults needs N,K with N >= 0 and "
                      "K in [0,%u)\n",
-                     ocl::fault::NumSites);
+                     fault::NumSites);
         return ExitDiagnostics;
       }
       FaultFlagsUsed = true;
       if (Nth == 0)
-        ocl::fault::armAlways(static_cast<ocl::fault::Site>(SiteId));
+        fault::armAlways(static_cast<fault::Site>(SiteId));
       else
-        ocl::fault::arm(static_cast<ocl::fault::Site>(SiteId), Nth);
+        fault::arm(static_cast<fault::Site>(SiteId), Nth);
     } else if (A == "--count-faults") {
       FaultFlagsUsed = true;
       Req.CountFaults = true;
@@ -444,7 +444,7 @@ int run(int argc, char **argv) {
       return ExitDiagnostics;
     }
     if (Req.CountFaults)
-      ocl::fault::countOnly();
+      fault::countOnly();
     std::ifstream GIn(GraphFile);
     if (!GIn) {
       std::fprintf(stderr, "liftc: cannot open %s\n", GraphFile.c_str());
@@ -476,7 +476,7 @@ int run(int argc, char **argv) {
   }
 
   if (Req.CountFaults)
-    ocl::fault::countOnly();
+    fault::countOnly();
 
   std::ifstream In(File);
   if (!In) {
